@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.KMeansD
-import repro.linalg.Local
+import repro.linalg.{Block, Local}
 import scala.collection.mutable.ArrayBuffer
 
 /** Data-clustering baselines applied to the biadjacency rows of U:
@@ -60,14 +60,14 @@ object DataClustering {
         pass += 1
       }
       val bc = spark.sparkContext.broadcast(medoids)
-      val out = rows.map { r =>
+      val out = Block.materialize(spark, rows.rdd.map { r =>
         val ms = bc.value
         var best = 0; var bd = Local.sqDist(r.vec, ms(0)); var c = 1
         while (c < ms.length) {
           val d = Local.sqDist(r.vec, ms(c)); if (d < bd) { bd = d; best = c }; c += 1
         }
         (r.id, best)
-      }.toDF("id", "cluster").transform(repro.linalg.Block.localize)
+      }).toDF("id", "cluster")
       rows.unpersist()
       out
     }

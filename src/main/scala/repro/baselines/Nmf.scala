@@ -1,8 +1,9 @@
 package repro.baselines
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import repro.linalg.{BRow, Block, Local}
+import org.apache.spark.storage.StorageLevel
+import repro.linalg.{Block, Csr, Local}
 
 /** NMF baseline [61]: rank-k non-negative factorisation `A ≈ W Hᵀ` by
   * distributed multiplicative updates; cluster(u) = argmax_j W[u,j].
@@ -10,46 +11,53 @@ import repro.linalg.{BRow, Block, Local}
   *   W ← W ∘ (A H) / (W (HᵀH) + ε)
   *   H ← H ∘ (Aᵀ W) / (H (WᵀW) + ε)
   *
-  * `A H` and `Aᵀ W` are sparse×dense multiplies (`Block.spmm`); the k×k
-  * Grams are local. This is fully distributed — NMF is one of the few
-  * competitors that survives the large datasets in the paper.
+  * A is a [[Csr]] matrix with one row per U vertex. H is held on the driver
+  * and W is cached next to A's rows, one block per partition, so each
+  * iteration is one pass: it updates W's rows from `A H` and returns the
+  * partials of `Aᵀ W` and `WᵀW` for the driver-side H update. This is fully
+  * distributed — NMF is one of the few competitors that survives the large
+  * datasets in the paper.
   */
 object NmfBaseline extends Baseline {
   val name = "NMF"
   val iterations = 30
 
   def cluster(spark: SparkSession, edges: DataFrame, k: Int, seed: Long): DataFrame = {
-    val spark2 = spark
-    import spark2.implicits._
-    val e = edges.cache()
-    val uIds = e.select(col("u").as("id")).distinct()
-    val vIds = e.select(col("v").as("id")).distinct()
+    import spark.implicits._
+    val a = Csr(edges, rows = "u", cols = "v", weight = "w")
+    def positive(id: Long, s: Long) = Local.gaussianVec(s, id, k).map(x => math.abs(x) + 0.1)
 
-    def positiveBlock(ids: DataFrame, s: Long) =
-      Block.gaussianBlock(ids, k, s).map(r => BRow(r.id, r.vec.map(x => math.abs(x) + 0.1)))
-
-    var w = positiveBlock(uIds, seed).transform(repro.linalg.Block.localize)
-    var h = positiveBlock(vIds, seed + 1).transform(repro.linalg.Block.localize)
+    var w: RDD[Local.Mat] = a.parts.map(p => p.rowIds.map(positive(_, seed)))
+    var h = a.colIds.map(positive(_, seed + 1))
+    val nV = a.nCols
     val eps = 1e-9
 
     var t = 0
     while (t < iterations) {
-      val hGram = Block.gram(h) // HᵀH, k×k
-      val ah = Block.spmm(e, h, srcCol = "v", dstCol = "u", wCol = "w") // A H
-      w = w.toDF("id", "wv").join(ah.toDF("id", "num"), Seq("id"), "left")
-        .as[(Long, Array[Double], Array[Double])]
-        .map { case (id, wv, num) => BRow(id, muUpdate(wv, num, hGram, eps)) }
-        .transform(repro.linalg.Block.localize)
-      val wGram = Block.gram(w)
-      val atw = Block.spmm(e, w, srcCol = "u", dstCol = "v", wCol = "w") // Aᵀ W
-      h = h.toDF("id", "hv").join(atw.toDF("id", "num"), Seq("id"), "left")
-        .as[(Long, Array[Double], Array[Double])]
-        .map { case (id, hv, num) => BRow(id, muUpdate(hv, num, wGram, eps)) }
-        .transform(repro.linalg.Block.localize)
+      val bc = spark.sparkContext.broadcast((h, Local.crossprod(h, h))) // (H, HᵀH)
+      val next = a.parts.zipPartitions(w) { (ps, ws) =>
+        val p = ps.next(); val wp = ws.next(); val (hv, hGram) = bc.value
+        Iterator.single(Array.tabulate(p.numRows)(r => muUpdate(wp(r), p.rowTimes(r, hv), hGram, eps)))
+      }.persist(StorageLevel.MEMORY_AND_DISK)
+      val (atw, wGram) = a.parts.zipPartitions(next) { (ps, ws) =>
+        val p = ps.next(); val wp = ws.next()
+        val acc = Local.zeros(nV, k)
+        var r = 0
+        while (r < p.numRows) { p.addRowTransposed(r, wp(r), acc); r += 1 }
+        Iterator.single((acc, Local.crossprod(wp, wp)))
+      }.collect().reduceLeft { (x, y) => (Local.addMatInPlace(x._1, y._1), Local.addMatInPlace(x._2, y._2)) }
+      h = h.indices.map(j => muUpdate(h(j), atw(j), wGram, eps)).toArray
+      w.unpersist(blocking = false)
+      w = next
       t += 1
     }
-    e.unpersist()
-    w.map(r => (r.id, Local.argmax(r.vec))).toDF("id", "cluster")
+    val out = Block.materialize(spark, a.parts.zipPartitions(w) { (ps, ws) =>
+      val p = ps.next(); val wp = ws.next()
+      Iterator.tabulate(p.numRows)(r => (p.rowIds(r), Local.argmax(wp(r))))
+    }).toDF("id", "cluster")
+    w.unpersist(blocking = false)
+    a.unpersist()
+    out
   }
 
   /** One multiplicative update of a factor row: `x ∘ num / (x·G + ε)`. */
@@ -59,8 +67,7 @@ object NmfBaseline extends Baseline {
     val out = new Array[Double](x.length)
     var i = 0
     while (i < x.length) {
-      val n = if (num == null) 0.0 else num(i)
-      out(i) = math.max(x(i) * n / (den(i) + eps), 1e-12)
+      out(i) = math.max(x(i) * num(i) / (den(i) + eps), 1e-12)
       i += 1
     }
     out

@@ -1,8 +1,7 @@
 package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, Dataset}
-import org.apache.spark.sql.functions._
-import repro.linalg.{BRow, Block}
+import repro.linalg.{BRow, Block, Csr, Local}
 
 /** Johnson–Lindenstrauss sketches of biadjacency rows.
   *
@@ -17,9 +16,14 @@ object Projections {
   /** Project U-side rows of the (optionally row-normalised) biadjacency. */
   def uRows(edges: DataFrame, dim: Int, seed: Long,
             rowNormalize: Boolean = true): Dataset[BRow] = {
-    val vIds = edges.select(col("v").as("id")).distinct()
-    val r = Block.rademacherBlock(vIds, dim, seed)
-    val proj = Block.spmm(edges, r, srcCol = "v", dstCol = "u", wCol = "w")
-    if (rowNormalize) Block.normalizeRows(proj) else proj
+    val spark = edges.sparkSession
+    import spark.implicits._
+    val a = Csr(edges, rows = "u", cols = "v", weight = "w")
+    val r = a.colIds.map(id => Local.rademacherVec(seed, id, dim))
+    val proj = a.times(r)
+    val out = Block.materialize(spark,
+      if (rowNormalize) proj.map(p => BRow(p.id, Local.unit(p.vec))) else proj)
+    a.unpersist()
+    out
   }
 }

@@ -3,7 +3,7 @@ package repro.baselines
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.KMeansD
-import repro.linalg.{BRow, Block}
+import repro.linalg.{BRow, Block, Csr, Local}
 
 /** Random-walk proximity baselines: PPR [56] and NRP [64].
   *
@@ -32,49 +32,40 @@ object RandomWalkEmb {
                       (col("w") / col("du")).as("w")) // p(u,v) = w/du
     val vu = j.select((col("v") + offset).as("dst"), col("u").as("src"),
                       (col("w") / col("dv")).as("w")) // p(v,u) = w/dv
-    // Row i of P holds p(i, ·); our spmm computes out[dst] = Σ_src w·y[src],
-    // i.e. (P y) when edges are stored as (src = j, dst = i, p(i,j)).
+    // Row i of P holds p(i, ·), stored as (src = j, dst = i, p(i,j)); a Csr
+    // with rows = dst and cols = src then computes (P y).
     (uv.unionByName(vu), offset)
   }
 
-  private def pprSketch(edges: DataFrame, seed: Long): (Dataset[BRow], Long) = {
+  /** Sketched PPR vectors of every vertex, held on the driver: the vertex
+    * ids (V ids offset), one row per id, and the offset.
+    */
+  private def pprSketch(edges: DataFrame, seed: Long): (Array[Long], Local.Mat, Long) = {
     val (p, offset) = transitionEdges(edges)
-    val pc = p.cache()
-    val ids = pc.select(col("dst").as("id")).distinct()
-    val r0 = Block.rademacherBlock(ids, SketchDim, seed).transform(repro.linalg.Block.localize)
-    val spark = edges.sparkSession
-    import spark.implicits._
+    val a = Csr(p, rows = "dst", cols = "src", weight = "w")
+    val ids = a.colIds
+    val r0 = ids.map(id => Local.rademacherVec(seed, id, SketchDim))
     var z = r0
     var t = 0
     while (t < Steps) {
-      val pz = Block.spmm(pc, z, srcCol = "src", dstCol = "dst")
-      z = r0.toDF("id", "rv").join(pz.toDF("id", "pv"), Seq("id"), "left")
-        .as[(Long, Array[Double], Array[Double])]
-        .map { case (id, rv, pv) =>
-          val out = new Array[Double](rv.length)
-          var i = 0
-          while (i < rv.length) {
-            out(i) = (1 - Alpha) * rv(i) + Alpha * (if (pv == null) 0.0 else pv(i))
-            i += 1
-          }
-          BRow(id, out)
-        }.transform(repro.linalg.Block.localize)
+      val pz = a.squareTimes(z)
+      z = Array.tabulate(ids.length)(i => Array.tabulate(SketchDim)(j => (1 - Alpha) * r0(i)(j) + Alpha * pz(i)(j)))
       t += 1
     }
+    a.unpersist()
     // Drop the self-restart term (1-α)·R_i: its i.i.d. random vectors would
     // dominate pairwise distances and drown the neighbourhood signal — the
     // sketch then approximates the OFF-diagonal PPR mass, which is what the
     // clustering actually compares.
-    val noSelf = z.toDF("id", "zv").join(r0.toDF("id", "rv"), "id")
-      .as[(Long, Array[Double], Array[Double])]
-      .map { case (id, zv, rv) =>
-        val out = new Array[Double](zv.length)
-        var i = 0
-        while (i < zv.length) { out(i) = zv(i) - (1 - Alpha) * rv(i); i += 1 }
-        BRow(id, out)
-      }.transform(repro.linalg.Block.localize)
-    pc.unpersist()
-    (noSelf, offset)
+    val noSelf = Array.tabulate(ids.length)(i => Array.tabulate(SketchDim)(j => z(i)(j) - (1 - Alpha) * r0(i)(j)))
+    (ids, noSelf, offset)
+  }
+
+  /** The U-side rows of a driver-held sketch, each mapped by `f`. */
+  private def uRows(spark: SparkSession, ids: Array[Long], z: Local.Mat, offset: Long)
+                   (f: (Long, Array[Double]) => Array[Double]): Dataset[BRow] = {
+    val u = ids.indices.filter(ids(_) < offset).toArray
+    Block.fromLocal(spark, u.map(ids), u.map(i => f(ids(i), z(i))))
   }
 
   /** PPR: k-means over sketched PPR vectors of the U side. */
@@ -83,11 +74,8 @@ object RandomWalkEmb {
     override def feasible(paperEdges: Long, k: Int): Boolean = paperEdges <= 4000000L // paper: "-" on MIND and larger
 
     def cluster(spark: SparkSession, edges: DataFrame, k: Int, seed: Long): DataFrame = {
-      val (z, offset) = pprSketch(edges, seed)
-      val spark2 = spark
-      import spark2.implicits._
-      val uRows = z.filter(_.id < offset)
-      KMeansD.run(Block.normalizeRows(uRows), k, seed = seed)
+      val (ids, z, offset) = pprSketch(edges, seed)
+      KMeansD.run(uRows(spark, ids, z, offset)((_, v) => Local.unit(v)), k, seed = seed)
     }
   }
 
@@ -96,21 +84,10 @@ object RandomWalkEmb {
     val name = "NRP"
 
     def cluster(spark: SparkSession, edges: DataFrame, k: Int, seed: Long): DataFrame = {
-      val (z, offset) = pprSketch(edges, seed)
-      val spark2 = spark
-      import spark2.implicits._
-      val du = edges.groupBy("u").agg(sum("w").as("du"))
-        .select(col("u").as("id"), col("du"))
-      val uRows = z.filter(_.id < offset).toDF("id", "vec")
-        .join(du, "id")
-        .select(col("id"), col("vec"), col("du"))
-        .as[(Long, Array[Double], Double)]
-        .map { case (id, v, d) =>
-          val s = math.sqrt(d)
-          BRow(id, v.map(_ * s))
-        }
+      val (ids, z, offset) = pprSketch(edges, seed)
+      val du = edges.groupBy("u").agg(sum("w")).collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
       // No row normalisation: NRP's reweighting keeps the degree magnitude.
-      KMeansD.run(uRows, k, seed = seed)
+      KMeansD.run(uRows(spark, ids, z, offset)((id, v) => Local.axpy(math.sqrt(du(id)), v)), k, seed = seed)
     }
   }
 }

@@ -1,9 +1,9 @@
 package repro.baselines
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.KMeansD
-import repro.linalg.{BRow, Block, SubspaceIteration}
+import repro.linalg.{BRow, Block, Csr, Local, SubspaceIteration}
 
 /** Spectral baselines: SC [55], SCC (Dhillon [12]) and SBC (Kluger [31]).
   * All use the shared `SubspaceIteration` engine — same trick as HOPE, so
@@ -37,32 +37,15 @@ object SpectralBaselines {
                 (col("w") / sqrt(col("du") * col("dv"))).as("wn"))
       val sym = norm.select(col("u").as("src"), col("v2").as("dst"), col("wn").as("w"))
         .unionByName(norm.select(col("v2").as("src"), col("u").as("dst"), col("wn").as("w")))
-        .cache()
-      val ids = sym.select(col("src").as("id")).distinct()
-      val op = (y: Dataset[BRow]) => Block.spmm(sym, y, srcCol = "src", dstCol = "dst")
+      val a = Csr(sym, rows = "dst", cols = "src", weight = "w")
       // The normalised adjacency is symmetric but indefinite; shift by +I to
       // make it PSD so power iteration targets its algebraically largest
       // eigenvectors (the shift leaves eigenvectors unchanged).
-      val shifted = (y: Dataset[BRow]) => {
-        val ay = op(y)
-        val spark2 = y.sparkSession
-        import spark2.implicits._
-        y.toDF("id", "yv").join(ay.toDF("id", "av"), Seq("id"), "left")
-          .select(col("id"), col("yv"), col("av"))
-          .as[(Long, Array[Double], Array[Double])]
-          .map { case (id, yv, av) =>
-            val out = new Array[Double](yv.length)
-            var i = 0
-            while (i < yv.length) {
-              out(i) = yv(i) + (if (av == null) 0.0 else av(i)); i += 1
-            }
-            BRow(id, out)
-          }
-      }
-      val (vecs, _) = SubspaceIteration.topEig(shifted, ids, k, PowerIters, seed)
+      val shifted = (y: Local.Mat) => Local.add(a.squareTimes(y), y)
+      val (vecs, _) = SubspaceIteration.topEig(shifted, a.colIds, k, PowerIters, seed)
+      a.unpersist()
       // Joint k-means over U ∪ V (the unipartite treatment), then read off U.
-      val assignAll = KMeansD.run(Block.normalizeRows(vecs), k, seed = seed)
-      sym.unpersist()
+      val assignAll = KMeansD.run(Block.fromLocal(spark, a.colIds, vecs.map(Local.unit)), k, seed = seed)
       assignAll.where(col("id") < offset)
     }
   }
@@ -76,28 +59,22 @@ object SpectralBaselines {
     override def feasible(paperEdges: Long, k: Int): Boolean = paperEdges <= 4000000L
 
     def cluster(spark: SparkSession, edges: DataFrame, k: Int, seed: Long): DataFrame = {
-      val spark2 = spark
-      import spark2.implicits._
+      import spark.implicits._
       val ell = math.max(1, math.ceil(math.log(k.toDouble) / math.log(2.0)).toInt)
-      val du = edges.groupBy("u").agg(sum("w").as("du"))
-      val dv = edges.groupBy("v").agg(sum("w").as("dv"))
-      val an = edges.join(du, "u").join(dv, "v")
-        .select(col("u"), col("v"), (col("w") / sqrt(col("du") * col("dv"))).as("an"))
-        .cache()
-      val uIds = edges.select(col("u").as("id")).distinct()
-      val (uVecs, sv) = SubspaceIteration.topLeftSingular(
-        an, rowCol = "u", colCol = "v", wCol = "an", uIds, ell + 1, PowerIters, seed)
+      // Anᵀ (rows v, cols u), so that the U-side factor is driver-held.
+      val a = Csr(edges, rows = "v", cols = "u", weight = "w")
+      val an = a.normalized(0.5, 0.5)
+      val (uVecs, sv) = SubspaceIteration.topRightSingular(an, ell + 1, PowerIters, seed)
       // Right singular vectors: V = Anᵀ U Σ⁻¹ (drop the leading vector on
       // both sides — it is the trivial degree direction).
       val inv = sv.map(s => if (s > 1e-12) 1.0 / s else 0.0)
-      val vVecs = Block.scaleCols(
-        Block.spmm(an, uVecs, srcCol = "u", dstCol = "v", wCol = "an"), inv)
-      val offset = edges.agg(max("u")).head.getLong(0) + 1L
-      val uEmb = uVecs.map(r => BRow(r.id, r.vec.drop(1)))
-      val vEmb = vVecs.map(r => BRow(r.id + offset, r.vec.drop(1)))
-      val joint = uEmb.union(vEmb)
-      val assignAll = KMeansD.run(Block.normalizeRows(joint), k, seed = seed)
-      an.unpersist()
+      val offset = an.colIds.last + 1L
+      val uEmb = Block.fromLocal(spark, an.colIds, uVecs.map(r => Local.unit(r.drop(1))))
+      val vEmb = an.times(uVecs).map { r =>
+        BRow(r.id + offset, Local.unit(Array.tabulate(ell)(j => r.vec(j + 1) * inv(j + 1))))
+      }
+      val assignAll = KMeansD.run(uEmb.union(spark.createDataset(vEmb)), k, seed = seed)
+      Seq(a, an).foreach(_.unpersist())
       assignAll.where(col("id") < offset)
     }
   }
@@ -111,14 +88,12 @@ object SpectralBaselines {
     override def feasible(paperEdges: Long, k: Int): Boolean = paperEdges <= 4000000L
 
     def cluster(spark: SparkSession, edges: DataFrame, k: Int, seed: Long): DataFrame = {
-      val du = edges.groupBy("u").agg(sum("w").as("du"))
-      val dv = edges.groupBy("v").agg(sum("w").as("dv"))
-      val an = edges.join(du, "u").join(dv, "v")
-        .select(col("u"), col("v"), (col("w") / (col("du") * col("dv"))).as("an"))
-      val uIds = edges.select(col("u").as("id")).distinct()
-      val (vecs, _) = SubspaceIteration.topLeftSingular(
-        an, rowCol = "u", colCol = "v", wCol = "an", uIds, k, PowerIters, seed)
-      KMeansD.run(Block.normalizeRows(vecs), k, seed = seed)
+      // D_u⁻¹ A D_v⁻¹, stored transposed so that the U-side factor is driver-held.
+      val a = Csr(edges, rows = "v", cols = "u", weight = "w")
+      val an = a.normalized(1.0, 1.0)
+      val (vecs, _) = SubspaceIteration.topRightSingular(an, k, PowerIters, seed)
+      Seq(a, an).foreach(_.unpersist())
+      KMeansD.run(Block.fromLocal(spark, an.colIds, vecs.map(Local.unit)), k, seed = seed)
     }
   }
 }

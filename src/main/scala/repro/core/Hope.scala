@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, Dataset}
-import repro.linalg.{BRow, Block, SubspaceIteration}
+import repro.linalg.{BRow, Block, Csr, Local, SubspaceIteration}
 
 /** HOPE (paper §3, Algorithm 1).
   *
@@ -25,24 +25,28 @@ object Hope {
 
   /** The low-rank HOP approximation X (Lines 1–4 of Algorithm 1), shared by
     * HOPE and HOPE+. Rows are keyed by U-side vertex id and L2-normalised.
+    *
+    * The edges are cached once as a CSR matrix with one row per U vertex;
+    * the V-side factor U (|V|×(β+4) during the power steps) is held on the
+    * driver, and `P·U` plus the row normalisation is one map-only pass.
     */
   def embed(edges: DataFrame, k: Int, params: Params): Dataset[BRow] = {
     val beta = params.betaFor(k)
-    val q = BipartiteGraph.qEdges(edges).cache()
-    val (uVecs, sigma) = SubspaceIteration.topLeftSingular(
-      q, rowCol = "v", colCol = "u", wCol = "q",
-      rowIds = BipartiteGraph.vIds(edges),
-      beta = beta, powerIters = params.powerIters, seed = params.seed)
+    val a = Csr(edges, rows = "u", cols = "v", weight = "w")
+    val qT = a.normalized(0.5, 0.5) // Qᵀ: w / sqrt(du·dv)
+    val p = a.normalized(1.0, 0.0)  // P:  w / du (Eq. 1)
+    val (uVecs, sigma) = SubspaceIteration.topRightSingular(qT, beta, params.powerIters, params.seed)
     // Eigenvalues of QQᵀ are σ² ∈ [0,1] (Lemma 3.1 proof); clamp for safety.
     val factors = sigma.map { s =>
       val lam = math.min(math.max(s * s, 0.0), 1.0 - 1e-12)
       (1.0 - params.alpha) / (1.0 - params.alpha * lam)
     }
-    val scaled = Block.scaleCols(uVecs, factors)
-    val p = BipartiteGraph.pEdges(edges)
-    val xHat = Block.spmm(p, scaled, srcCol = "v", dstCol = "u", wCol = "p")
-    q.unpersist()
-    Block.normalizeRows(xHat).transform(repro.linalg.Block.localize)
+    val scaled = uVecs.map(row => Array.tabulate(beta)(j => row(j) * factors(j)))
+    val spark = edges.sparkSession
+    import spark.implicits._
+    val x = Block.materialize(spark, p.times(scaled).map(r => BRow(r.id, Local.unit(r.vec))))
+    Seq(a, qT, p).foreach(_.unpersist())
+    x
   }
 
   /** Full HOPE: returns cluster assignments `(id, cluster)` for the U side. */

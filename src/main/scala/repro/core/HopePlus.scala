@@ -1,7 +1,8 @@
 package repro.core
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Dataset}
-import org.apache.spark.sql.functions._
+import org.apache.spark.storage.StorageLevel
 import repro.linalg.{BRow, Block, Local}
 
 /** HOPE+ (paper §4, Algorithms 2 and 3).
@@ -54,60 +55,73 @@ object HopePlus {
     Block.signFixColumns(Block.timesLocal(x, rot))
   }
 
-  /** `Lᵀ C` as a local k×k matrix, with C's 1/√|C_j| normalisation applied.
-    * Column j of the result is (Σ_{i ∈ C_j} L_i) / √|C_j|.
-    */
-  private def ltC(l: Dataset[BRow], assign: DataFrame, k: Int): Local.Mat = {
-    val spark = l.sparkSession
-    import spark.implicits._
-    val sums = l.toDF("id", "vec").join(assign, "id")
-      .select($"cluster".cast("int"), $"vec").as[(Int, Array[Double])]
-      .groupByKey(_._1)
-      .mapValues { case (_, v) => (v, 1L) }
-      .reduceGroups { (a, b) => (Local.addInPlace(a._1, b._1), a._2 + b._2) }
-      .collect()
-    val m = Local.zeros(k, k)
-    sums.foreach { case (c, (s, n)) =>
-      val inv = 1.0 / math.sqrt(n.toDouble)
-      var a = 0
-      while (a < k) { m(a)(c) = s(a) * inv; a += 1 }
-    }
-    m
-  }
-
-  /** Assign each row of L to `argmax_j (L T)_{i,j}` (Lines 8–11, Alg. 3). */
-  private def assignArgmax(l: Dataset[BRow], t: Local.Mat): DataFrame = {
-    val spark = l.sparkSession
-    import spark.implicits._
-    val bc = spark.sparkContext.broadcast(t)
-    l.map(r => (r.id, Local.argmax(Local.vecMat(r.vec, bc.value))))
-      .toDF("id", "cluster")
-  }
-
   /** Rounding (Algorithm 3): alternate T and C updates until C is unchanged
     * or `maxRounds` iterations. Returns assignments `(id, cluster)`.
+    *
+    * C is never stored: the assignment under T is `argmax_j (L T)_{i,j}`
+    * (Lines 8–11, Alg. 3), and the greedy seed is the one under T = I
+    * (Lines 6–10, Alg. 2). Each round is one pass over L that takes the argmax
+    * under both the previous and the new T, which gives the number of
+    * changed rows and the next `Lᵀ C` together.
     */
   def round(l: Dataset[BRow], k: Int, urt: Urt, maxRounds: Int): DataFrame = {
-    // Greedy seeding (Lines 6–10, Alg. 2): argmax over L itself, i.e. T = I.
-    var assign = assignArgmax(l, Local.eye(k)).transform(repro.linalg.Block.localize)
+    val spark = l.sparkSession
+    import spark.implicits._
+    val rows = l.rdd.persist(StorageLevel.MEMORY_AND_DISK)
+    var tPrev = Local.eye(k)
+    var m = roundPass(rows, tPrev, tPrev, k)._1
     var t = 0
     var converged = false
     while (t < maxRounds && !converged) {
-      val m = ltC(l, assign, k)
       val tMat = urt match {
         case Fnem =>
           val (phi, _, v) = Local.svdSmall(m)
           Local.matmul(phi, Local.transpose(v))
         case Snem => m
       }
-      val next = assignArgmax(l, tMat).transform(repro.linalg.Block.localize)
-      val changed = next.as("n").join(assign.as("o"), "id")
-        .where(col("n.cluster") =!= col("o.cluster")).count()
-      assign = next
+      val (next, changed) = roundPass(rows, tPrev, tMat, k)
+      m = next
+      tPrev = tMat
       converged = changed == 0L
       t += 1
     }
-    assign
+    val bc = spark.sparkContext.broadcast(tPrev)
+    val out = Block.materialize(spark, rows.map(r => (r.id, Local.argmax(Local.vecMat(r.vec, bc.value)))))
+      .toDF("id", "cluster")
+    rows.unpersist()
+    out
+  }
+
+  /** One rounding pass: with C the assignment under `t`, returns `Lᵀ C` as a
+    * local k×k matrix with C's 1/√|C_j| normalisation applied (column j is
+    * `Σ_{i ∈ C_j} L_i / √|C_j|`, zero for an empty cluster), and the number
+    * of rows whose cluster differs from the one under `tPrev`.
+    */
+  private def roundPass(rows: RDD[BRow], tPrev: Local.Mat, t: Local.Mat, k: Int): (Local.Mat, Long) = {
+    val bc = rows.sparkContext.broadcast((tPrev, t))
+    val partials = rows.mapPartitions { it =>
+      val (before, after) = bc.value
+      val sums = Local.zeros(k, k) // row j: Σ_{i ∈ C_j} L_i
+      val counts = new Array[Long](k)
+      var changed = 0L
+      it.foreach { r =>
+        val c = Local.argmax(Local.vecMat(r.vec, after))
+        if (c != Local.argmax(Local.vecMat(r.vec, before))) changed += 1
+        Local.addInPlace(sums(c), r.vec)
+        counts(c) += 1
+      }
+      Iterator.single((sums, counts, changed))
+    }.collect()
+    bc.destroy()
+    val (sums, counts, changed) = partials.reduceLeft { (a, b) =>
+      (Local.addMatInPlace(a._1, b._1), a._2.zip(b._2).map { case (p, q) => p + q }, a._3 + b._3)
+    }
+    val m = Local.zeros(k, k)
+    for (c <- 0 until k if counts(c) > 0) {
+      val inv = 1.0 / math.sqrt(counts(c).toDouble)
+      for (a <- 0 until k) m(a)(c) = sums(c)(a) * inv
+    }
+    (m, changed)
   }
 
   /** Full HOPE+ for one rounding scheme. */
@@ -115,7 +129,7 @@ object HopePlus {
     val x = Hope.embed(edges, k,
       Hope.Params(alpha = params.alpha, beta = params.beta,
                   powerIters = params.powerIters, seed = params.seed))
-    val l = leftSingular(x, k).transform(repro.linalg.Block.localize)
+    val l = leftSingular(x, k)
     round(l, k, urt, params.maxRounds)
   }
 
@@ -124,7 +138,7 @@ object HopePlus {
     val x = Hope.embed(edges, k,
       Hope.Params(alpha = params.alpha, beta = params.beta,
                   powerIters = params.powerIters, seed = params.seed))
-    val l = leftSingular(x, k).transform(repro.linalg.Block.localize)
+    val l = leftSingular(x, k)
     (round(l, k, Fnem, params.maxRounds), round(l, k, Snem, params.maxRounds))
   }
 }

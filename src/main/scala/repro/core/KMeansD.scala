@@ -1,11 +1,17 @@
 package repro.core
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Dataset}
-import repro.linalg.{BRow, Local}
+import org.apache.spark.storage.StorageLevel
+import repro.linalg.{BRow, Block, Local}
 
 /** Distributed Lloyd k-Means over dense row-blocks, with k-means++ seeding on
   * a driver-side sample. Used by HOPE (Alg. 1 Line 5) and by every baseline
   * that clusters an embedding (SC, SCC, SBC, NRP, PPR, K-Means).
+  *
+  * Each Lloyd step is one Spark pass: every partition returns its per-cluster
+  * sums, counts and squared distances, and the driver adds them in partition
+  * order.
   */
 object KMeansD {
 
@@ -15,55 +21,49 @@ object KMeansD {
     * the solution with the lowest within-cluster sum of squares wins — the
     * standard guard against k-means' local optima (the paper's §4 motivates
     * HOPE+ with exactly this failure mode of HOPE).
+    *
+    * The seeding sample is the `sampleSize` rows with the smallest per-id
+    * hash, sorted by id, so it depends neither on the partition layout nor
+    * on the row order of `x`.
     */
   def run(x: Dataset[BRow], k: Int, maxIters: Int = 25, seed: Long = 7L,
           sampleSize: Int = 4096, tol: Double = 1e-6, restarts: Int = 3): DataFrame = {
     val spark = x.sparkSession
     import spark.implicits._
 
-    val cached = x.cache()
-    val n = cached.count()
+    val rows = x.rdd.persist(StorageLevel.MEMORY_AND_DISK)
+    val size = math.max(sampleSize, k)
+    val scanned = rows.mapPartitions { it =>
+      val keyed = it.map(r => (sampleKey(seed, r.id), r)).toArray
+      Iterator.single((keyed.length.toLong, keyed.sortBy(_._1).take(size)))
+    }.collect()
+    val n = scanned.map(_._1).sum
     require(n >= k, s"cannot make $k clusters from $n rows")
-
-    val frac = math.min(1.0, (sampleSize * 2.0) / n.toDouble)
-    var sample = cached.sample(withReplacement = false, frac, seed)
-      .take(sampleSize).map(_.vec)
-    if (sample.length < k) sample = cached.take(math.max(k, sampleSize)).map(_.vec)
+    val sample = scanned.flatMap(_._2).sortBy(_._1).take(size).map(_._2).sortBy(_.id).map(_.vec)
 
     def lloyd(restartSeed: Long): (Array[Array[Double]], Double) = {
       var centers = plusPlusSeed(sample, k, restartSeed)
       var iter = 0
       var shift = Double.MaxValue
       while (iter < maxIters && shift > tol) {
-        val bc = spark.sparkContext.broadcast(centers)
-        val stats = cached
-          .map { r => (nearest(r.vec, bc.value)._1, Local.axpy(1.0, r.vec), 1L) }
-          .groupByKey(_._1)
-          .reduceGroups { (a, b) => (a._1, Local.addInPlace(a._2, b._2), a._3 + b._3) }
-          .map { case (_, (c, sum, cnt)) => (c, sum, cnt) }
-          .collect()
+        val (sums, counts, _) = step(rows, centers)
         val next = centers.map(_.clone())
         val rng = new java.util.Random(Local.mix(restartSeed + iter))
-        val seen = stats.map(_._1).toSet
-        stats.foreach { case (c, sum, cnt) =>
-          next(c) = Local.axpy(1.0 / cnt, sum)
-        }
-        // Re-seed empty clusters from random sample points.
-        (0 until k).filterNot(seen.contains).foreach { c =>
-          next(c) = sample(rng.nextInt(sample.length)).clone()
+        (0 until k).foreach { c =>
+          // Re-seed empty clusters from random sample points.
+          next(c) = if (counts(c) > 0) Local.axpy(1.0 / counts(c), sums(c))
+                    else sample(rng.nextInt(sample.length)).clone()
         }
         shift = centers.zip(next).map { case (a, b) => Local.sqDist(a, b) }.max
         centers = next
         iter += 1
       }
-      val bc = spark.sparkContext.broadcast(centers)
-      val wss = cached.map(r => nearest(r.vec, bc.value)._2).reduce(_ + _)
-      (centers, wss)
+      (centers, step(rows, centers)._3)
     }
 
     // Keep the earliest restart unless a later one is strictly better beyond
-    // float-reduction noise — WSS sums are only reproducible up to reduction
-    // order, and determinism must not hinge on that.
+    // float-reduction noise, so that the choice does not hinge on the
+    // partition layout.
     val (bestCenters, _) = (0 until math.max(1, restarts))
       .map(r => lloyd(seed + 1000L * r))
       .reduceLeft[(Array[Array[Double]], Double)] { (a, b) =>
@@ -71,11 +71,38 @@ object KMeansD {
       }
 
     val bc = spark.sparkContext.broadcast(bestCenters)
-    val out = cached.map(r => (r.id, nearest(r.vec, bc.value)._1)).toDF("id", "cluster")
-      .transform(repro.linalg.Block.localize)
-    cached.unpersist()
+    val out = Block.materialize(spark, rows.map(r => (r.id, nearest(r.vec, bc.value)._1)))
+      .toDF("id", "cluster")
+    rows.unpersist()
     out
   }
+
+  /** One Lloyd pass: per-cluster row sums, row counts and the total squared
+    * distance of every row to its nearest center.
+    */
+  private[core] def step(rows: RDD[BRow], centers: Array[Array[Double]]): (Local.Mat, Array[Long], Double) = {
+    val bc = rows.sparkContext.broadcast(centers)
+    val partials = rows.mapPartitions { it =>
+      val cs = bc.value
+      val sums = Local.zeros(cs.length, cs(0).length)
+      val counts = new Array[Long](cs.length)
+      var wss = 0.0
+      it.foreach { r =>
+        val (c, d) = nearest(r.vec, cs)
+        Local.addInPlace(sums(c), r.vec)
+        counts(c) += 1
+        wss += d
+      }
+      Iterator.single((sums, counts, wss))
+    }.collect()
+    bc.destroy()
+    partials.reduceLeft { (a, b) =>
+      (Local.addMatInPlace(a._1, b._1), a._2.zip(b._2).map { case (p, q) => p + q }, a._3 + b._3)
+    }
+  }
+
+  /** Uniform, layout-independent sampling key of a row (a bijection of the id). */
+  private def sampleKey(seed: Long, id: Long): Long = Local.mix(seed ^ Local.mix(id))
 
   /** Index of the nearest center and the squared distance to it. */
   private def nearest(v: Array[Double], centers: Array[Array[Double]]): (Int, Double) = {

@@ -95,7 +95,7 @@ object TableRunner {
     val tHope = tEmbed + (System.nanoTime() - t1) / 1e9
 
     val t2 = System.nanoTime()
-    val l = HopePlus.leftSingular(x, k).transform(repro.linalg.Block.localize)
+    val l = HopePlus.leftSingular(x, k)
     val tEig = (System.nanoTime() - t2) / 1e9
     val t3 = System.nanoTime()
     val fnem = HopePlus.round(l, k, HopePlus.Fnem, maxRounds = 30)

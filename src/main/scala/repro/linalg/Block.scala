@@ -1,42 +1,20 @@
 package repro.linalg
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.{DataFrame, Dataset, Encoder, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.storage.StorageLevel
 
 /** A row of a distributed dense row-block matrix: vertex id → length-β vector. */
 final case class BRow(id: Long, vec: Array[Double])
 
-/** Distributed dense-block kernels over DataFrames/Datasets.
-  *
-  * Sparse matrices are edge DataFrames `(src, dst, w)`; dense factors are
-  * `Dataset[BRow]` with β ≪ |V| columns. All kernels are deterministic given
-  * their seeds, so every run of a pipeline reproduces bit-identical results
-  * up to floating-point reduction order.
+/** Distributed dense-block kernels over `Dataset[BRow]`: the U-side
+  * factors (the embedding X and HOPE+'s L) and the glue between driver-held
+  * factors and Datasets. Sparse products live in [[Csr]]. Every reduction
+  * sums one partial per partition on the driver, in partition order, so a
+  * fixed seed gives bit-identical results.
   */
 object Block {
-
-  /** Sparse × dense multiply: `out[dst] = Σ_src w(src,dst) · dense[src]`.
-    *
-    * `edges` must have columns `srcCol`, `dstCol`, `wCol`; rows of `dense`
-    * are keyed by the values in `srcCol`. Ids absent from `edges` simply do
-    * not appear in the output (callers guarantee min-degree ≥ 1 inputs).
-    */
-  def spmm(edges: DataFrame, dense: Dataset[BRow],
-           srcCol: String, dstCol: String, wCol: String = "w"): Dataset[BRow] = {
-    val spark = edges.sparkSession
-    import spark.implicits._
-    edges
-      .select(col(srcCol).cast("long").as("sid"),
-              col(dstCol).cast("long").as("did"),
-              col(wCol).cast("double").as("w"))
-      .join(dense.toDF("sid", "svec"), "sid")
-      .select($"did", $"w", $"svec")
-      .as[(Long, Double, Array[Double])]
-      .map { case (did, w, v) => (did, Local.axpy(w, v)) }
-      .groupByKey(_._1)
-      .reduceGroups { (a, b) => (a._1, Local.addInPlace(a._2, b._2)) }
-      .map { case (_, (id, vec)) => BRow(id, vec) }
-  }
 
   /** Reshape a flat row-major accumulator into a Mat. */
   private def unflatten(flat: Array[Double], cols: Int): Local.Mat =
@@ -64,7 +42,7 @@ object Block {
         }
       }
       if (acc == null) Iterator.empty else Iterator.single(acc)
-    }.reduce(Local.addInPlace _)
+    }.collect().reduceLeft(Local.addInPlace)
     unflatten(flat, math.sqrt(flat.length.toDouble).round.toInt)
   }
 
@@ -93,7 +71,7 @@ object Block {
           acc(rows * cols) = cols.toDouble // carry cols for driver reshape
         }
         if (acc == null) Iterator.empty else Iterator.single(acc)
-      }.reduce { (a, b) =>
+      }.collect().reduceLeft { (a, b) =>
         var i = 0
         while (i < a.length - 1) { a(i) += b(i); i += 1 }
         a
@@ -128,10 +106,7 @@ object Block {
   def normalizeRows(x: Dataset[BRow]): Dataset[BRow] = {
     val spark = x.sparkSession
     import spark.implicits._
-    x.map { r =>
-      val n = Local.l2(r.vec)
-      if (n == 0.0) r else BRow(r.id, Local.axpy(1.0 / n, r.vec))
-    }
+    x.map(r => BRow(r.id, Local.unit(r.vec)))
   }
 
   /** Deterministic gaussian block over `ids` (column "id"). */
@@ -150,19 +125,9 @@ object Block {
       .map(id => BRow(id, Local.rademacherVec(seed, id, dim)))
   }
 
-  /** Orthonormalise the columns of X via Gram + Cholesky (`X ← X R⁻¹`).
-    * A small ridge keeps the Cholesky stable when columns nearly collapse.
-    */
-  def orthonormalize(x: Dataset[BRow]): Dataset[BRow] = {
-    val g = gram(x)
-    val n = g.length
-    val tr = (0 until n).map(i => g(i)(i)).sum
-    val ridge = math.max(tr, 1.0) * 1e-12
-    var i = 0
-    while (i < n) { g(i)(i) += ridge; i += 1 }
-    val rInv = Local.invUpper(Local.choleskyUpper(g))
-    timesLocal(x, rInv)
-  }
+  /** Orthonormalise the columns of X via Gram + Cholesky (`X ← X R⁻¹`). */
+  def orthonormalize(x: Dataset[BRow]): Dataset[BRow] =
+    timesLocal(x, Local.orthonormalizer(gram(x)))
 
   /** Fix the sign of every column so its maximum-|·| entry is positive — the
     * standard deterministic sign convention for singular/eigenvectors. The
@@ -184,7 +149,7 @@ object Block {
         }
       }
       if (acc == null) Iterator.empty else Iterator.single(acc)
-    }.reduce { (a, b) =>
+    }.collect().reduceLeft { (a, b) =>
       var i = 0
       while (i < a.length) { if (math.abs(b(i)) > math.abs(a(i))) a(i) = b(i); i += 1 }
       a
@@ -196,20 +161,20 @@ object Block {
   def collectMap(x: Dataset[BRow]): Map[Long, Array[Double]] =
     x.collect().map(r => r.id -> r.vec).toMap
 
-  /** Materialise a Dataset and truncate BOTH its RDD lineage and its Catalyst
-    * plan, returning a fresh Dataset over the checkpointed RDD.
-    *
-    * `Dataset.localCheckpoint` is NOT used because (Spark 4) the resulting
-    * `LogicalRDD` inherits the origin plan's size-in-bytes statistics; in an
-    * iterative algorithm each generation's stats are a product over the
-    * previous generation's, so sizeInBytes grows doubly-exponentially and
-    * Catalyst ends up multiplying million-digit BigInts during planning.
-    * Rebuilding via `createDataset` resets the stats every generation.
-    */
-  def localize[T](ds: Dataset[T]): Dataset[T] = {
-    val spark = ds.sparkSession
-    val rdd = ds.rdd.localCheckpoint()
-    rdd.count() // materialise eagerly so lineage is actually truncated
-    spark.createDataset(rdd)(ds.encoder)
+  /** A driver-held factor (row `i` belongs to `ids(i)`) as a Dataset. */
+  def fromLocal(spark: SparkSession, ids: Array[Long], rows: Local.Mat): Dataset[BRow] = {
+    import spark.implicits._
+    spark.createDataset(spark.sparkContext.parallelize(ids.indices.map(i => BRow(ids(i), rows(i)))))
   }
+
+  /** Computes `rdd` once and caches it, so that the Dataset over it stays
+    * cheap after the inputs it was computed from are unpersisted.
+    */
+  def materialize[T: Encoder](spark: SparkSession, rdd: RDD[T]): Dataset[T] = {
+    rdd.persist(StorageLevel.MEMORY_AND_DISK).count()
+    spark.createDataset(rdd)
+  }
+
+  /** [[materialize]] for a Dataset. */
+  def localize[T](ds: Dataset[T]): Dataset[T] = materialize(ds.sparkSession, ds.rdd)(ds.encoder)
 }

@@ -69,6 +69,42 @@ object Local {
     out
   }
 
+  /** `aᵀ b` for two matrices with the same number of rows. */
+  def crossprod(a: Mat, b: Mat): Mat = {
+    val out = zeros(a(0).length, b(0).length)
+    var r = 0
+    while (r < a.length) {
+      val ar = a(r); val br = b(r)
+      var i = 0
+      while (i < ar.length) {
+        val ai = ar(i)
+        if (ai != 0.0) {
+          val orow = out(i)
+          var j = 0
+          while (j < br.length) { orow(j) += ai * br(j); j += 1 }
+        }
+        i += 1
+      }
+      r += 1
+    }
+    out
+  }
+
+  /** `R⁻¹` with `G = RᵀR` for a Gram matrix `G = XᵀX`, so that `X R⁻¹` has
+    * orthonormal columns. A small ridge keeps the Cholesky stable when
+    * columns nearly collapse.
+    */
+  def orthonormalizer(gram: Mat): Mat = {
+    val g = gram.map(_.clone())
+    val ridge = math.max(g.indices.map(i => g(i)(i)).sum, 1.0) * 1e-12
+    var i = 0
+    while (i < g.length) { g(i)(i) += ridge; i += 1 }
+    invUpper(choleskyUpper(g))
+  }
+
+  /** Orthonormalise the columns of `x` via Gram + Cholesky (`X ← X R⁻¹`). */
+  def orthonormalize(x: Mat): Mat = matmul(x, orthonormalizer(crossprod(x, x)))
+
   def add(a: Mat, b: Mat): Mat =
     a.zip(b).map { case (ra, rb) => ra.zip(rb).map { case (x, y) => x + y } }
 
@@ -190,6 +226,19 @@ object Local {
     var i = 0
     while (i < acc.length) { acc(i) += v(i); i += 1 }
     acc
+  }
+
+  /** Adds `b` into `a` row by row and returns `a`. */
+  def addMatInPlace(a: Mat, b: Mat): Mat = {
+    var i = 0
+    while (i < a.length) { addInPlace(a(i), b(i)); i += 1 }
+    a
+  }
+
+  /** `v / ‖v‖`; a zero vector is returned as is. */
+  def unit(v: Array[Double]): Array[Double] = {
+    val n = l2(v)
+    if (n == 0.0) v else axpy(1.0 / n, v)
   }
 
   def axpy(a: Double, x: Array[Double]): Array[Double] = {

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.{SparkSpec, TestGraphs}
-import repro.linalg.{Block, Local}
+import repro.linalg.{BRow, Block, Local}
 
 /** HOPE+ (Algorithms 2–3): both rounding schemes, eigen stage, convergence. */
 class HopePlusSpec extends SparkSpec {
@@ -90,5 +90,51 @@ class HopePlusSpec extends SparkSpec {
     val s0 = Metrics.evaluate(seedOnly, g.uLabels)
     val s1 = Metrics.evaluate(rounded, g.uLabels)
     assert(s1.ari >= s0.ari - 0.05, s"seed=$s0 rounded=$s1")
+  }
+
+  /** Algorithm 3 on the driver over the rows of L: the assignment after
+    * each round (index 0 is the greedy seed, Alg. 2), up to convergence or
+    * `maxRounds`.
+    */
+  private def localRounds(l: Array[BRow], k: Int, urt: HopePlus.Urt, maxRounds: Int): Seq[Array[Int]] = {
+    def argmaxUnder(t: Local.Mat) = l.map(r => Local.argmax(Local.vecMat(r.vec, t)))
+    val history = scala.collection.mutable.ArrayBuffer(argmaxUnder(Local.eye(k)))
+    var converged = false
+    while (history.length - 1 < maxRounds && !converged) {
+      val assign = history.last
+      val ltc = Local.zeros(k, k) // Lᵀ C with C's columns scaled by 1/√|C_j|
+      for (c <- 0 until k) {
+        val members = l.indices.filter(assign(_) == c)
+        for (i <- members; a <- 0 until k) ltc(a)(c) += l(i).vec(a) / math.sqrt(members.size.toDouble)
+      }
+      val t = urt match {
+        case HopePlus.Fnem =>
+          val (phi, _, psi) = Local.svdSmall(ltc)
+          Local.matmul(phi, Local.transpose(psi))
+        case HopePlus.Snem => ltc
+      }
+      val next = argmaxUnder(t)
+      converged = next.sameElements(assign)
+      history += next
+    }
+    history.toSeq
+  }
+
+  test("one-pass rounding matches a driver-local Algorithm 3 in every round (FNEM and SNEM)") {
+    val g = TestGraphs.hubHeavy(sp)
+    val k = g.config.k
+    val x = Hope.embed(g.edges, k, Hope.Params(powerIters = 8, seed = 3))
+    val l = HopePlus.leftSingular(x, k).transform(Block.localize)
+    val rows = l.collect().sortBy(_.id)
+    Seq(HopePlus.Fnem, HopePlus.Snem).foreach { urt =>
+      val history = localRounds(rows, k, urt, maxRounds = 30)
+      // Capping the rounds at every count up to one past convergence gives
+      // the local assignment of that round: same rounds, same round count.
+      (0 to history.length).foreach { cap =>
+        val got = HopePlus.round(l, k, urt, cap).collect().map(r => r.getLong(0) -> r.getInt(1)).toMap
+        val expected = rows.map(_.id).zip(history(math.min(cap, history.length - 1))).toMap
+        assert(got == expected, s"${urt.name}, at most $cap rounds")
+      }
+    }
   }
 }

@@ -87,4 +87,11 @@ class HopeSpec extends SparkSpec {
     val assign = Hope.run(g.edges, g.config.k, fastParams)
     TestGraphs.assertValidAssignment(assign, g.config.nU, g.config.k)
   }
+
+  test("embedding rows are bit-identical for any input partitioning (3 vs 11)") {
+    val g = TestGraphs.weighted(sp)
+    def rows(parts: Int) = Block.collectMap(Hope.embed(g.edges.repartition(parts), g.config.k, fastParams))
+      .map { case (id, v) => id -> v.map(java.lang.Double.doubleToRawLongBits).toSeq }
+    assert(rows(3) == rows(11))
+  }
 }

@@ -80,4 +80,29 @@ class KMeansDSpec extends SparkSpec {
     // clusters give WSS ~ n·dim·0.01.
     assert(wss < 200 * 5 * 0.05, s"WSS too high: $wss")
   }
+
+  test("assignments do not depend on the partition layout (1 vs 7 partitions)") {
+    val (x, _) = blobs(240, 4, 5, sep = 1.5, seed = 11)
+    def assign(parts: Int) = KMeansD.run(x.repartition(parts), 4, seed = 13)
+      .collect().map(r => (r.getLong(0), r.getInt(1))).sortBy(_._1)
+    assert(assign(1).sameElements(assign(7)))
+  }
+
+  test("one-pass Lloyd step matches a driver-local Lloyd step") {
+    val (x, _) = blobs(200, 3, 4, sep = 3.0, seed = 8)
+    val rows = x.collect()
+    val rnd = new scala.util.Random(9)
+    // Three centers near the data and one far away, which gets no rows.
+    val centers = Array.fill(3)(rows(rnd.nextInt(rows.length)).vec.clone()) :+ Array.fill(4)(1e6)
+    val (sums, counts, wss) = KMeansD.step(x.repartition(5).rdd, centers)
+    val expSums = Local.zeros(4, 4); val expCounts = new Array[Long](4); var expWss = 0.0
+    rows.foreach { r =>
+      val d = centers.map(Local.sqDist(r.vec, _))
+      val c = d.indexOf(d.min)
+      Local.addInPlace(expSums(c), r.vec); expCounts(c) += 1; expWss += d(c)
+    }
+    assert(counts.sameElements(expCounts) && counts(3) == 0L)
+    assert(Local.maxAbsDiff(sums, expSums) < 1e-10)
+    assert(math.abs(wss - expWss) < 1e-10 * math.max(1.0, expWss))
+  }
 }

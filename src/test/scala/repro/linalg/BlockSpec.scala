@@ -3,7 +3,9 @@ package repro.linalg
 import org.apache.spark.sql.Dataset
 import repro.SparkSpec
 
-/** Distributed dense-block kernels vs local reference computations. */
+/** Distributed dense-block kernels vs local reference computations
+  * (sparse products are in `CsrSpec`).
+  */
 class BlockSpec extends SparkSpec {
 
   private lazy val sp = spark
@@ -12,39 +14,6 @@ class BlockSpec extends SparkSpec {
   private def mkDense(rows: Map[Long, Array[Double]]): Dataset[BRow] = {
     import sp.implicits._
     rows.toSeq.map { case (id, v) => BRow(id, v) }.toDS()
-  }
-
-  private def mkEdges(es: Seq[(Long, Long, Double)]) = {
-    import sp.implicits._
-    es.toDF("src", "dst", "w")
-  }
-
-  test("spmm matches a hand-computed example") {
-    // M = [[2,0],[1,3]] over src∈{0,1}; dense rows x0=(1,1), x1=(2,0)
-    val edges = mkEdges(Seq((0L, 0L, 2.0), (0L, 1L, 1.0), (1L, 1L, 3.0)))
-    val dense = mkDense(Map(0L -> Array(1.0, 1.0), 1L -> Array(2.0, 0.0)))
-    val out = Block.collectMap(Block.spmm(edges, dense, "src", "dst"))
-    assert(out(0L).sameElements(Array(2.0, 2.0)))        // 2·x0
-    assert(out(1L).sameElements(Array(7.0, 1.0)))        // 1·x0 + 3·x1
-  }
-
-  test("spmm matches local dense multiply on random input") {
-    val rnd = new Random(3)
-    val n = 20; val m = 15; val d = 4
-    val es = for (_ <- 0 until 120) yield
-      (rnd.nextInt(n).toLong, rnd.nextInt(m).toLong, rnd.nextDouble())
-    val dedup = es.groupBy(e => (e._1, e._2)).map { case ((s, t), g) => (s, t, g.map(_._3).sum) }.toSeq
-    val dense = (0 until n).map(i => i.toLong -> Array.fill(d)(rnd.nextGaussian())).toMap
-    val expected = Array.fill(m)(new Array[Double](d))
-    dedup.foreach { case (s, t, w) =>
-      val v = dense(s)
-      for (j <- 0 until d) expected(t.toInt)(j) += w * v(j)
-    }
-    val out = Block.collectMap(Block.spmm(mkEdges(dedup), mkDense(dense), "src", "dst"))
-    for (t <- 0 until m if out.contains(t.toLong); j <- 0 until d)
-      assert(math.abs(out(t.toLong)(j) - expected(t)(j)) < 1e-10)
-    // every dst with at least one edge appears
-    assert(out.keySet == dedup.map(_._2).toSet)
   }
 
   test("gram equals XᵀX computed locally") {

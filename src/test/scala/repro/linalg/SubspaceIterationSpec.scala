@@ -14,47 +14,39 @@ class SubspaceIterationSpec extends SparkSpec {
     Local.matmul(a, Local.transpose(a))
   }
 
-  private def asEdges(m: Local.Mat) = {
+  /** The matrix as a square CSR operator: `y ↦ M y` on driver-held factors. */
+  private def asCsr(m: Local.Mat): Csr = {
     import sp.implicits._
-    (for (i <- m.indices; j <- m(i).indices if m(i)(j) != 0.0)
+    val edges = (for (i <- m.indices; j <- m(i).indices if m(i)(j) != 0.0)
       yield (i.toLong, j.toLong, m(i)(j))).toDF("src", "dst", "w")
+    Csr.signed(edges, rows = "dst", cols = "src", weight = "w")
   }
 
   test("topEig recovers the leading eigenvalues of a PSD matrix") {
-    import sp.implicits._
     val n = 24
     val m = randomPsd(n, 42)
-    val edges = asEdges(m)
-    val ids = (0L until n.toLong).toDF("id")
-    val op = (y: org.apache.spark.sql.Dataset[BRow]) => Block.spmm(edges, y, "src", "dst")
-    val (_, lam) = SubspaceIteration.topEig(op, ids, 5, 30, seed = 9)
+    val a = asCsr(m)
+    val (_, lam) = SubspaceIteration.topEig(a.squareTimes, a.colIds, 5, 30, seed = 9)
     val (_, exact) = Local.symEigDesc(m)
     for (i <- 0 until 5)
       assert(math.abs(lam(i) - exact(i)) < 1e-4, s"eig $i: ${lam(i)} vs ${exact(i)}")
   }
 
   test("topEig eigenvectors satisfy A v = λ v") {
-    import sp.implicits._
     val n = 16
     val m = randomPsd(n, 7)
-    val edges = asEdges(m)
-    val ids = (0L until n.toLong).toDF("id")
-    val op = (y: org.apache.spark.sql.Dataset[BRow]) => Block.spmm(edges, y, "src", "dst")
-    val (vecs, lam) = SubspaceIteration.topEig(op, ids, 3, 40, seed = 1)
-    val v = Block.collectMap(vecs)
-    val av = Block.collectMap(op(vecs))
-    for (id <- 0L until n.toLong; j <- 0 until 3)
+    val a = asCsr(m)
+    val (v, lam) = SubspaceIteration.topEig(a.squareTimes, a.colIds, 3, 40, seed = 1)
+    val av = a.squareTimes(v)
+    for (id <- 0 until n; j <- 0 until 3)
       assert(math.abs(av(id)(j) - lam(j) * v(id)(j)) < 1e-3)
   }
 
   test("topEig returns orthonormal vectors") {
-    import sp.implicits._
     val n = 20
-    val edges = asEdges(randomPsd(n, 13))
-    val ids = (0L until n.toLong).toDF("id")
-    val op = (y: org.apache.spark.sql.Dataset[BRow]) => Block.spmm(edges, y, "src", "dst")
-    val (vecs, _) = SubspaceIteration.topEig(op, ids, 4, 25, seed = 5)
-    assert(Local.maxAbsDiff(Block.gram(vecs), Local.eye(4)) < 1e-6)
+    val a = asCsr(randomPsd(n, 13))
+    val (vecs, _) = SubspaceIteration.topEig(a.squareTimes, a.colIds, 4, 25, seed = 5)
+    assert(Local.maxAbsDiff(Local.crossprod(vecs, vecs), Local.eye(4)) < 1e-6)
   }
 
   test("topLeftSingular matches exact SVD singular values") {
@@ -88,5 +80,23 @@ class SubspaceIterationSpec extends SparkSpec {
     val (_, s1) = SubspaceIteration.topLeftSingular(edges, "r", "c", "w", ids, 3, 20, 77)
     val (_, s2) = SubspaceIteration.topLeftSingular(edges, "r", "c", "w", ids, 3, 20, 77)
     assert(s1.sameElements(s2))
+  }
+
+  test("topLeftSingular clamps β + 4 guard columns to |V| and rejects β > |V|") {
+    import sp.implicits._
+    val rnd = new scala.util.Random(37)
+    val rows = 5; val cols = 12 // |V| = 5 row vertices < β + 4
+    val m = Array.fill(rows)(Array.fill(cols)(rnd.nextGaussian()))
+    val edges = (for (i <- 0 until rows; j <- 0 until cols)
+      yield (i.toLong, j.toLong, m(i)(j))).toDF("r", "c", "w")
+    val ids = (0L until rows.toLong).toDF("id")
+    val (vecs, sv) = SubspaceIteration.topLeftSingular(edges, "r", "c", "w", ids, 4, 35, seed = 3)
+    val (_, exact, _) = Local.svdSmall(m)
+    for (i <- 0 until 4)
+      assert(math.abs(sv(i) - exact(i)) < 1e-8, s"σ$i: ${sv(i)} vs ${exact(i)}")
+    assert(Block.collectMap(vecs).values.forall(_.length == 4))
+    val e = intercept[IllegalArgumentException](
+      SubspaceIteration.topLeftSingular(edges, "r", "c", "w", ids, 6, 35, seed = 3))
+    assert(e.getMessage.contains("β = 6 exceeds the 5 vertices"), e.getMessage)
   }
 }
